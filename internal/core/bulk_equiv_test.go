@@ -21,14 +21,25 @@ import (
 // signature compares structure, not identities.
 
 // webSignature serializes the set tree: depth, item count, and the
-// sorted item codes of every node in DFS order.
+// sorted item codes of every node in DFS order. Only leaves keep item
+// lists, so an internal node's item set is the union of its descendant
+// leaves'.
 func webSignature[L, T, Q any](w *Web[L, T, Q]) []string {
 	var out []string
-	w.walkNodes(func(n *setNode) {
-		codes := make([]uint64, 0, len(w.items[n]))
-		for _, x := range w.items[n] {
-			codes = append(codes, w.ops.CodeOf(x))
+	w.walkNodes(func(n *setNode[L, T]) {
+		var codes []uint64
+		var collect func(k *setNode[L, T])
+		collect = func(k *setNode[L, T]) {
+			if k == nil {
+				return
+			}
+			for _, x := range k.items {
+				codes = append(codes, w.ops.CodeOf(x))
+			}
+			collect(k.kids[0])
+			collect(k.kids[1])
 		}
+		collect(n)
 		sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
 		out = append(out, fmt.Sprintf("d%d n%d %v", n.depth, n.count, codes))
 	})
